@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -53,7 +52,7 @@ class alignas(128) LatencyReservoir {
 /// concatenation would weight a slow, low-rate thread the same as a fast
 /// one and bias the percentiles upward; weight each sample by the calls it
 /// stands for instead. Returns {calls, total_ns, p(q1), p(q2)} so callers
-/// get avg + two percentiles in one sort.
+/// get avg + two percentiles in one call.
 struct MergedLatency {
   std::uint64_t calls = 0;
   std::uint64_t total_ns = 0;
@@ -67,29 +66,56 @@ struct MergedLatency {
   }
 };
 
+/// p(q) is the smallest sample value v whose weight at or below v,
+/// sum over reservoirs of count(samples <= v) * calls / samples, reaches
+/// q * calls (the largest sample when none does). It is found by bisecting
+/// on v with one counting pass per step, so the merge allocates nothing:
+/// a sort-based merge needs 16 bytes per pooled sample, tens of MiB for a
+/// multi-second run. Every weight is 1 (an unfilled reservoir saw exactly
+/// as many calls as it holds) or calls / kCap with kCap a power of two, so
+/// the sums are exact in a double and the result equals that of sorting
+/// all (ns, weight) pairs and accumulating weights in order.
 template <class Range>
 MergedLatency merge_latency(const Range& reservoirs, double q1 = 0.50,
                             double q2 = 0.99) {
   MergedLatency m;
-  std::vector<std::pair<std::uint64_t, double>> merged;  // (ns, weight)
+  std::uint64_t lo = UINT64_MAX;
+  std::uint64_t hi = 0;
   for (const LatencyReservoir& rec : reservoirs) {
     m.calls += rec.calls();
     m.total_ns += rec.total_ns();
-    if (rec.samples().empty()) continue;
-    const double w = static_cast<double>(rec.calls()) /
-                     static_cast<double>(rec.samples().size());
-    for (const std::uint64_t ns : rec.samples()) merged.push_back({ns, w});
-  }
-  if (merged.empty()) return m;
-  std::sort(merged.begin(), merged.end());
-  const auto weighted_pct = [&merged, &m](double q) {
-    const double target = q * static_cast<double>(m.calls);
-    double acc = 0;
-    for (const auto& [ns, w] : merged) {
-      acc += w;
-      if (acc >= target) return ns;
+    for (const std::uint64_t ns : rec.samples()) {
+      lo = std::min(lo, ns);
+      hi = std::max(hi, ns);
     }
-    return merged.back().first;
+  }
+  if (lo > hi) return m;  // no samples at all
+  const auto weight_upto = [&reservoirs](std::uint64_t v) {
+    double acc = 0;
+    for (const LatencyReservoir& rec : reservoirs) {
+      std::size_t n = 0;
+      for (const std::uint64_t ns : rec.samples()) n += ns <= v ? 1 : 0;
+      if (n != 0) {
+        acc += static_cast<double>(n) * static_cast<double>(rec.calls()) /
+               static_cast<double>(rec.samples().size());
+      }
+    }
+    return acc;
+  };
+  const auto weighted_pct = [&](double q) {
+    const double target = q * static_cast<double>(m.calls);
+    if (weight_upto(hi) < target) return hi;
+    std::uint64_t a = lo;
+    std::uint64_t b = hi;  // weight_upto(b) >= target throughout
+    while (a < b) {
+      const std::uint64_t mid = a + (b - a) / 2;
+      if (weight_upto(mid) >= target) {
+        b = mid;
+      } else {
+        a = mid + 1;
+      }
+    }
+    return a;
   };
   m.q1_ns = weighted_pct(q1);
   m.q2_ns = weighted_pct(q2);

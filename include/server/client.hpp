@@ -13,6 +13,9 @@
 // every subsequent op fails with kIOError instead of raising, which is
 // what the kill-and-recover harness needs — the client must outlive the
 // server's death and exit cleanly.
+//
+// Waiting for replies polls before it blocks: recv(MSG_DONTWAIT) spins
+// under the same adaptive budget the server shards use (server/poll.hpp).
 #pragma once
 
 #include <cerrno>
@@ -31,6 +34,7 @@
 #include <unistd.h>
 
 #include "dlht/dlht.hpp"
+#include "server/poll.hpp"
 #include "server/protocol.hpp"
 
 namespace dlht::server {
@@ -189,6 +193,9 @@ class KvClient {
     return static_cast<std::int64_t>(r.value);
   }
 
+  /// Poll-then-block counters of this connection's reply waits.
+  SpinStats spin_stats() const { return poll_.stats(); }
+
  private:
   Status mutate(WireOp op, std::uint64_t key, std::uint64_t value) {
     std::uint8_t buf[kHeaderBytes + 16];
@@ -255,13 +262,19 @@ class KvClient {
         return;
       }
       if (in_len_ == in_.size()) in_.resize(in_.size() * 2);
-      const ssize_t r =
-          ::recv(fd_, in_.data() + in_len_, in_.size() - in_len_, 0);
+      ssize_t r = 0;
+      int err = 0;
+      const auto try_recv = [&](int flags) {
+        r = ::recv(fd_, in_.data() + in_len_, in_.size() - in_len_, flags);
+        err = r < 0 ? errno : 0;
+        return r >= 0 || (err != EAGAIN && err != EWOULDBLOCK);
+      };
+      if (!poll_.spin([&] { return try_recv(MSG_DONTWAIT); })) try_recv(0);
       if (r > 0) {
         in_len_ += static_cast<std::size_t>(r);
         continue;
       }
-      if (r < 0 && errno == EINTR) continue;
+      if (r < 0 && err == EINTR) continue;
       dead_ = true;  // EOF or hard error mid-pipeline
       fail_batch(reps + got, n - got);
       return;
@@ -274,6 +287,7 @@ class KvClient {
   std::vector<std::uint8_t> out_;
   std::vector<std::uint8_t> in_ = std::vector<std::uint8_t>(4096);
   std::size_t in_len_ = 0;
+  PollBudget poll_;
 };
 
 }  // namespace dlht::server

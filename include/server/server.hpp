@@ -22,6 +22,11 @@
 // Replies are buffered per connection and written once per turn (or
 // immediately when batch <= 1); a slow reader gets EPOLLOUT re-arming and
 // a hard output cap instead of unbounded buffering.
+//
+// Between turns a shard polls before it blocks: it spins on a zero-timeout
+// epoll_wait under an adaptive budget (server/poll.hpp) and only then
+// falls back to the blocking wait, so a busy connection's next batch does
+// not pay a sleep and a wakeup.
 #pragma once
 
 #include <atomic>
@@ -30,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,6 +57,7 @@
 #include "common/topology.hpp"
 #include "dlht/dlht.hpp"
 #include "dlht/durability.hpp"
+#include "server/poll.hpp"
 #include "server/protocol.hpp"
 
 namespace dlht::server {
@@ -199,14 +206,24 @@ class KvServer {
   std::uint64_t conns_accepted() const {
     return accepted_.load(std::memory_order_relaxed);
   }
+  /// Poll-then-block counters of one shard (caught / expired spins and
+  /// time spent spinning), and their sum over shards.
+  SpinStats spin_stats(std::size_t shard) const {
+    return shards_[shard]->poll.stats();
+  }
+  SpinStats spin_stats() const {
+    SpinStats s;
+    for (const auto& sh : shards_) s += sh->poll.stats();
+    return s;
+  }
 
   /// Merged per-flush service latency (batch form -> replies encoded)
   /// across shards. Call after stop(): the reservoirs are owned by the
   /// shard threads while they run.
   MergedLatency flush_latency() const {
-    std::vector<LatencyReservoir> all;
+    std::vector<std::reference_wrapper<const LatencyReservoir>> all;
     all.reserve(shards_.size());
-    for (const auto& sh : shards_) all.push_back(sh->lat);
+    for (const auto& sh : shards_) all.emplace_back(sh->lat);
     return merge_latency(all);
   }
 
@@ -263,6 +280,7 @@ class KvServer {
     std::mutex inbox_mu;
     std::vector<int> inbox;
     LatencyReservoir lat;
+    PollBudget poll;
     std::atomic<std::uint64_t> ops{0};
     std::atomic<std::uint64_t> flushes{0};
     // Flush scratch (reused across turns).
@@ -356,7 +374,14 @@ class KvServer {
   void shard_loop(Shard& sh) {
     epoll_event evs[kEpollEvents];
     while (!stop_.load(std::memory_order_acquire)) {
-      const int n = ::epoll_wait(sh.epfd, evs, kEpollEvents, kEpollTimeoutMs);
+      int n = 0;
+      const bool caught = sh.poll.spin([&] {
+        n = ::epoll_wait(sh.epfd, evs, kEpollEvents, 0);
+        return n > 0;
+      });
+      if (!caught) {
+        n = ::epoll_wait(sh.epfd, evs, kEpollEvents, kEpollTimeoutMs);
+      }
       for (int i = 0; i < n; ++i) {
         const int fd = evs[i].data.fd;
         if (fd == sh.wakefd) {

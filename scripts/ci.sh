@@ -137,7 +137,8 @@ run_main() {
   cmake --build build-asan -j --target dlht_test resize_churn_test \
     shrink_churn_test epoch_test rng_test apps_test probe_equivalence_test \
     recovery_test kill_recover_writer protocol_test dlht_server kv_client \
-    topology_test perf_counters_test baseline_equivalence_test
+    topology_test perf_counters_test baseline_equivalence_test \
+    latency_test server_poll_test
   ./build-asan/dlht_test
   # The from-scratch opponents' hazards (backward-shift deletes,
   # reclamation under readers) are exactly the bugs ASan exists for.
@@ -163,6 +164,10 @@ run_main() {
   # Wire-protocol decoder totality under ASan/UBSan: the random/bit-flip
   # fuzz runs on exactly-sized heap buffers, so any overread is fatal here.
   ./build-asan/protocol_test
+  ./build-asan/latency_test
+  # Poll-then-block: stop, conn hand-off and client failure while shards
+  # and clients spin, plus the idle-CPU bound.
+  ./build-asan/server_poll_test
   # Full server<->client loopback under the memory checker. SKIP_RATIO:
   # sanitized throughput is meaningless; the lost/dup audits and the
   # networked kill-and-recover cycle are what this run proves.
@@ -180,7 +185,8 @@ run_tsan() {
   cmake --build build-tsan -j --target dlht_test resize_churn_test \
     shrink_churn_test epoch_test apps_test probe_equivalence_test \
     fig18_ycsb recovery_test kill_recover_writer protocol_test \
-    dlht_server kv_client topology_test baseline_equivalence_test
+    dlht_server kv_client topology_test baseline_equivalence_test \
+    server_poll_test
   ./build-tsan/dlht_test
   # Maged-Michael under the race detector: marked-pointer unlinks + epoch
   # retire while readers walk the same chains. Robin Hood is excluded by
@@ -208,6 +214,9 @@ run_tsan() {
   ./build-tsan/recovery_test
   KRW=./build-tsan/kill_recover_writer bash tests/kill_recover_test.sh
   ./build-tsan/protocol_test
+  # Spin counters are read from other threads while the shards run, and
+  # stop() races the shards' spins and the clients' reply waits.
+  ./build-tsan/server_poll_test
   # Server under the race detector: N epoll shards batching into one shared
   # table, cross-thread conn handoff (eventfd inbox), checkpointer vs WAL
   # writers in --durable mode — the loopback drives all of it.

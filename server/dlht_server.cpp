@@ -15,7 +15,9 @@
 //
 // Prints a single "ready" line once the listener is live (harness scripts
 // wait for it), serves until SIGTERM/SIGINT, then prints shutdown stats:
-// ops, flushes, ops/flush, and merged per-flush p50/p99.
+// ops, flushes, ops/flush, merged per-flush p50/p99, and the shards'
+// poll-then-block counters (spins that caught an event, spins that
+// expired, time spent spinning).
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -93,8 +95,10 @@ int main(int argc, char** argv) {
   const auto lat = server.flush_latency();
   const std::uint64_t ops = server.total_ops();
   const std::uint64_t flushes = server.total_flushes();
+  const dlht::server::SpinStats spin = server.spin_stats();
   std::printf("# dlht_server stats: ops=%llu flushes=%llu ops/flush=%.2f "
-              "conns=%llu flush_p50=%llu ns flush_p99=%llu ns size=%lld\n",
+              "conns=%llu flush_p50=%llu ns flush_p99=%llu ns size=%lld "
+              "spins_caught=%llu spins_expired=%llu spin_ms=%.1f\n",
               static_cast<unsigned long long>(ops),
               static_cast<unsigned long long>(flushes),
               flushes != 0 ? static_cast<double>(ops) /
@@ -103,6 +107,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(server.conns_accepted()),
               static_cast<unsigned long long>(lat.q1_ns),
               static_cast<unsigned long long>(lat.q2_ns),
-              static_cast<long long>(server.table_size()));
+              static_cast<long long>(server.table_size()),
+              static_cast<unsigned long long>(spin.caught),
+              static_cast<unsigned long long>(spin.expired),
+              static_cast<double>(spin.spin_ns) / 1e6);
   return 0;
 }

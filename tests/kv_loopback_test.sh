@@ -23,6 +23,11 @@
 #      existing offline auditor (kill_recover_writer --audit) must find
 #      zero lost committed keys and zero duplicates — KR_CYCLES times
 #      against the same dir, so cycle N+1 audits the union of all cycles.
+#   5. Same-CPU guard: a 1-shard server and one client thread, both pinned
+#      to CPU 0 (DLHT_PIN=0). Both sides poll before they block; a spinner
+#      that keeps a CPU its peer needs turns each round trip into a
+#      scheduler time slice. Asserts rtt p50 <= 40 us (blocking reads
+#      10-14 us; a fixed 50 us spin read 110 us). Skipped with SKIP_RATIO=1.
 set -u
 
 SERVER="${SERVER:?set SERVER to the dlht_server binary}"
@@ -52,9 +57,12 @@ fail() {
 }
 
 # Start $SERVER with the given extra args, wait for its ready line.
+# SERVER_PIN=1 lets the server pin its shards by DLHT_PIN (default: --no-pin).
 start_server() {
+  local pin=(--no-pin)
+  [ "${SERVER_PIN:-0}" = "1" ] && pin=()
   : > "$workdir/server.log"
-  "$SERVER" --listen "$1" --keys "$KEYS" --no-pin "${@:2}" \
+  "$SERVER" --listen "$1" --keys "$KEYS" "${pin[@]}" "${@:2}" \
     > "$workdir/server.log" 2>&1 &
   server_pid=$!
   for _ in $(seq 1 100); do
@@ -146,5 +154,21 @@ for cycle in $(seq 1 "$KR_CYCLES"); do
     fail "durable audit failed (cycle $cycle)"
   fi
 done
+
+# ---- 5. same-CPU guard: server shard and client on one CPU -------------
+if [ "$SKIP_RATIO" != "1" ]; then
+  SERVER_PIN=1 DLHT_PIN=0 start_server "$sock" --threads 1
+  if ! DLHT_PIN=0 "$CLIENT" --connect "$sock" --keys "$KEYS" --ms "$MS" \
+       --threads-list 1 --batch 32 > "$workdir/samecpu.log" 2>&1; then
+    cat "$workdir/samecpu.log"
+    fail "same-CPU run / audit failed"
+  fi
+  stop_server
+  p50="$(awk '$2 == "rtt/p50" { print $4 }' "$workdir/samecpu.log")"
+  tput="$(tput_of "$workdir/samecpu.log")"
+  echo "kv_loopback: same-CPU rtt p50=$p50 ns tput=$tput Mreq/s"
+  awk -v p="$p50" 'BEGIN { exit !(p > 0 && p <= 40000) }' ||
+    fail "same-CPU rtt p50 $p50 ns > 40 us (spinner starves its peer)"
+fi
 
 echo "kv_loopback OK: keys=$KEYS threads=$THREADS ratio_skipped=$SKIP_RATIO kr_cycles=$KR_CYCLES"

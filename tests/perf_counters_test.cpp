@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "common/perf_counters.hpp"
@@ -30,13 +31,25 @@ int g_failures = 0;
 
 using namespace dlht;
 
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 void test_open_or_degrade() {
   std::puts("test_open_or_degrade");
   PerfCounters pc;
   pc.start();
-  // Burn ~2ms of cpu so any opened counter has something to count.
+  // Burn at least 2ms of this thread's cpu so any opened counter has
+  // something to count. A fixed iteration count is not enough: on a shared
+  // host the same loop took anywhere from under 1ms to ~6ms of cpu.
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 2'000'000; ++i) sink = sink + i;
+  const std::uint64_t cpu0 = thread_cpu_ns();
+  while (thread_cpu_ns() - cpu0 < 2'000'000) {
+    for (std::uint64_t i = 0; i < 10'000; ++i) sink = sink + i;
+  }
   pc.stop();
   const CounterTotals t = pc.read();
   std::printf("  counters %savailable: %s\n",
